@@ -83,7 +83,7 @@ place:
 # The control-plane service smoke gate, exactly as the CI ctlplane job
 # runs it: start the daemon with a persistent store and background churn,
 # drive admit/evaluate/release/findings over HTTP, SIGKILL it mid-churn,
-# restart from the store and assert recovery. The sharded-ledger
+# restart from the store and assert recovery. The admission-path
 # throughput trajectory lands in BENCH_ctlplane.json.
 serve-smoke:
 	./scripts/serve_smoke.sh

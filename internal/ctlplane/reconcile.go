@@ -12,7 +12,6 @@ package ctlplane
 // byte-identical across parallel runs.
 
 import (
-	"ufab/internal/placement"
 	"ufab/internal/sim"
 )
 
@@ -28,8 +27,8 @@ func (s *Service) Reconcile(nowPS int64) int {
 	// set ∨ drain. The set was updated synchronously as the recorder saw
 	// each dataplane fault, so a pass at time T observes exactly the
 	// faults before T — the same view the old fabric poll produced.
-	for i, h := range s.fleet.Hosts {
-		s.fleet.Unschedulable[i] = s.failed[h] || s.draining[h]
+	for i, h := range s.adm.Fleet.Hosts {
+		s.adm.Fleet.Unschedulable[i] = s.failed[h] || s.draining[h]
 	}
 
 	ids := s.sortedIDsLocked()
@@ -88,7 +87,7 @@ func (s *Service) Reconcile(nowPS int64) int {
 // displacedLocked reports whether any of t's hosts is unschedulable.
 func (s *Service) displacedLocked(t *Tenant) bool {
 	for _, h := range t.Hosts {
-		if i := s.fleet.HostIndex(h); i >= 0 && s.fleet.Unschedulable[i] {
+		if i := s.adm.Fleet.HostIndex(h); i >= 0 && s.adm.Fleet.Unschedulable[i] {
 			return true
 		}
 	}
@@ -109,9 +108,10 @@ func (s *Service) StartReconciler(eng sim.Scheduler, period sim.Duration) (stop 
 }
 
 // Recover rebuilds realized state from the store's desired records after
-// a restart: Placed tenants are re-committed to the (fresh) ledger,
-// their fleet slots retaken, and — when a materializer is attached — the
-// fabric re-materialized. A tenant whose recorded placement no longer
+// a restart: each Placed tenant's recorded hosts go back through the
+// admission pipeline's Realize step — re-committed to the (fresh) ledger,
+// the fabric re-materialized when a materializer is attached, and the
+// fleet slots retaken. A tenant whose recorded placement no longer
 // fits demotes to Degraded for the reconciler to re-place. Returns the
 // ledger's Verify error, if any — the store-vs-ledger consistency check
 // the restart contract requires.
@@ -130,16 +130,8 @@ func (s *Service) Recover(nowPS int64) error {
 		if t.Status != StatusPlaced {
 			continue
 		}
-		hosts := t.Hosts
-		pairs := placement.ChainPairs(hosts)
-		ok := len(hosts) == t.VMs
-		if ok {
-			ok = s.ledger.Admit(t.ID, t.GuaranteeBps, pairs) == nil
-		}
-		if ok && s.mat != nil && !s.mat.AddTenant(s.spec(t, pairs)) {
-			s.ledger.Release(t.ID)
-			ok = false
-		}
+		ok := len(t.Hosts) == t.VMs &&
+			s.adm.Realize(t.request(), t.Hosts, sim.Time(nowPS)).Accepted
 		if !ok {
 			t.Hosts = nil
 			t.Status = StatusDegraded
@@ -147,10 +139,8 @@ func (s *Service) Recover(nowPS int64) error {
 			t.NotBeforePS = nowPS
 			t.UpdatedPS = nowPS
 			s.persistPutLocked(t)
-			continue
 		}
-		s.fleet.Place(hosts)
 	}
 	s.flushLocked()
-	return s.ledger.Verify()
+	return s.adm.Ledger.Verify()
 }

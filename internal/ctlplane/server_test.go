@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -146,6 +147,50 @@ func TestServerEndToEnd(t *testing.T) {
 	getJSON(t, base+"/v1/ledger", &led)
 	if !led.VerifyOK || led.Tenants != 0 {
 		t.Fatalf("ledger after release: %+v", led)
+	}
+}
+
+// TestServerRejectsOversizedVMCount: a VM count larger than the fleet is
+// a "placement" reject on both admit and evaluate, decided before any
+// policy sizes a per-VM structure from the untrusted count, and the
+// daemon keeps serving afterwards.
+func TestServerRejectsOversizedVMCount(t *testing.T) {
+	_, base := testDaemon(t, DaemonConfig{Seed: 1})
+	for _, ep := range []string{"/v1/evaluate", "/v1/admit"} {
+		var dec Decision
+		resp := postJSON(t, base+ep, admitBody{ID: 1, GuaranteeBps: 1e9, VMs: math.MaxInt32}, &dec)
+		if resp.StatusCode != http.StatusOK || dec.Accepted || dec.Reason != "placement" {
+			t.Fatalf("%s vms=MaxInt32: HTTP %d %+v", ep, resp.StatusCode, dec)
+		}
+	}
+	var dec Decision
+	postJSON(t, base+"/v1/admit", admitBody{ID: 1, GuaranteeBps: 1e9, VMs: 2}, &dec)
+	if !dec.Accepted {
+		t.Fatalf("admit after oversized request: %+v", dec)
+	}
+}
+
+// TestServerAdmitTracesStages: an admission over HTTP records the
+// pipeline's place/commit/materialize stage events under the request's
+// admission trace, as the simulated controller does.
+func TestServerAdmitTracesStages(t *testing.T) {
+	d, base := testDaemon(t, DaemonConfig{Seed: 1})
+	var dec Decision
+	postJSON(t, base+"/v1/admit", admitBody{ID: 42, GuaranteeBps: 1e9, VMs: 2, WeightClass: 3}, &dec)
+	if !dec.Accepted {
+		t.Fatalf("admit: %+v", dec)
+	}
+	trace := telemetry.SpanID(telemetry.TraceAdmission, 42)
+	var stages []string
+	d.Do(func() {
+		for _, ev := range d.Reg.Recorder().Events() {
+			if ev.Kind == telemetry.EvStage && ev.Trace == trace {
+				stages = append(stages, ev.Note)
+			}
+		}
+	})
+	if want := []string{"place", "commit", "materialize"}; !reflect.DeepEqual(stages, want) {
+		t.Fatalf("admission stages = %v, want %v", stages, want)
 	}
 }
 

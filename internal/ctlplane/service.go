@@ -1,23 +1,23 @@
 // Package ctlplane is the always-on tenant control plane: it wraps
-// internal/placement's admission/placement machinery in a long-lived
-// service with the controller/watcher/store layering of production
-// network control planes. Desired tenant state (what was admitted) lives
-// in a persistent store (JSONL WAL + snapshot); realized state (ledger
-// commitments, fleet slots, materialized VFs) is continuously converged
-// toward it by a reconciler that re-places tenants displaced by node
-// failures, evacuates drained hosts, and rolls back partial
-// materializations — with per-tenant status and bounded retry/backoff.
-// Concurrent admissions scale through a sharded two-phase-commit
-// subscription ledger, and the whole thing is served northbound over
-// HTTP/JSON by the daemon in daemon.go (`ufabsim serve`).
+// internal/placement's admission pipeline (placement.Admitter) in a
+// long-lived service with the controller/watcher/store layering of
+// production network control planes. Desired tenant state (what was
+// admitted) lives in a persistent store (JSONL WAL + snapshot); realized
+// state (ledger commitments, fleet slots, materialized VFs) is
+// continuously converged toward it by a reconciler that re-places tenants
+// displaced by node failures, evacuates drained hosts, and rolls back
+// partial materializations — with per-tenant status and bounded
+// retry/backoff. The subscription account is the same single-goroutine
+// placement.Ledger the simulated controller uses: the daemon in
+// daemon.go (`ufabsim serve`), which serves the service northbound over
+// HTTP/JSON, runs every call on its one engine goroutine, so the ledger
+// needs no locking of its own.
 package ctlplane
 
 import (
-	"errors"
 	"sort"
 	"sync"
 
-	"ufab/internal/chaos"
 	"ufab/internal/placement"
 	"ufab/internal/sim"
 	"ufab/internal/telemetry"
@@ -33,8 +33,6 @@ type Config struct {
 	SlotsPerHost int
 	// MaxPaths bounds the ledger's per-pair ECMP enumeration (0 = all).
 	MaxPaths int
-	// Shards is the ledger's lock-partition count (0 = 8).
-	Shards int
 	// Policy picks VM hosts (default Spread — the service exists to
 	// survive failure domains).
 	Policy placement.Policy
@@ -43,15 +41,17 @@ type Config struct {
 	// RetryBackoff is the base re-placement backoff, doubled per retry
 	// (default 250 µs).
 	RetryBackoff sim.Duration
-	// Telemetry, if non-nil, publishes placement.ctl.* counters.
+	// Telemetry, if non-nil, publishes placement.ctl.* counters and
+	// traces admission stages on its flight recorder.
 	Telemetry *telemetry.Registry
 }
 
 // Decision is the service's verdict on one admit/evaluate call.
 type Decision struct {
 	Accepted bool `json:"accepted"`
-	// Reason explains a rejection: "placement", "headroom",
-	// "materialize", "invalid", "duplicate".
+	// Reason explains a rejection: placement.ReasonInvalid,
+	// ReasonDuplicate, ReasonPlacement, ReasonHeadroom or
+	// ReasonMaterialize.
 	Reason string `json:"reason,omitempty"`
 	// Hosts are the (would-be) VM locations.
 	Hosts []topo.NodeID `json:"hosts,omitempty"`
@@ -70,12 +70,9 @@ type Stats struct {
 // callers (experiments) drive it from one goroutine, where iteration
 // order is fixed by sorted tenant ids.
 type Service struct {
-	g      *topo.Graph
-	cfg    Config
-	ledger *ShardedLedger
-	fleet  *placement.Fleet
-	store  *Store
-	mat    placement.Materializer
+	cfg   Config
+	adm   placement.Admitter
+	store *Store
 
 	mu       sync.Mutex
 	tenants  map[int32]*Tenant
@@ -109,12 +106,15 @@ func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Con
 		cfg.RetryBackoff = 250 * sim.Microsecond
 	}
 	return &Service{
-		g:        g,
-		cfg:      cfg,
-		ledger:   NewShardedLedger(g, cfg.MaxPaths, cfg.Shards, cfg.Oversubscription),
-		fleet:    placement.NewFleet(g, cfg.SlotsPerHost),
+		cfg: cfg,
+		adm: placement.Admitter{
+			Ledger: placement.NewLedger(g, cfg.MaxPaths, cfg.Oversubscription),
+			Fleet:  placement.NewFleet(g, cfg.SlotsPerHost),
+			Policy: cfg.Policy,
+			Mat:    mat,
+			Rec:    cfg.Telemetry.Recorder(),
+		},
 		store:    store,
-		mat:      mat,
 		tenants:  make(map[int32]*Tenant),
 		draining: make(map[topo.NodeID]bool),
 		failed:   make(map[topo.NodeID]bool),
@@ -145,12 +145,12 @@ func (s *Service) WatchRecorder(rec *telemetry.Recorder) {
 	})
 }
 
-// Ledger exposes the sharded subscription account (read side for the
-// auditor's ledger_bound invariant and for experiments).
-func (s *Service) Ledger() *ShardedLedger { return s.ledger }
+// Ledger exposes the subscription account (read side for the auditor's
+// ledger_bound invariant and for experiments).
+func (s *Service) Ledger() *placement.Ledger { return s.adm.Ledger }
 
 // Fleet exposes the slot-occupancy view.
-func (s *Service) Fleet() *placement.Fleet { return s.fleet }
+func (s *Service) Fleet() *placement.Fleet { return s.adm.Fleet }
 
 // Store exposes the persistence layer (nil when running in-memory).
 func (s *Service) Store() *Store { return s.store }
@@ -162,12 +162,6 @@ func (s *Service) Store() *Store { return s.store }
 func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.GuaranteeBps <= 0 || req.VMs < 1 {
-		return s.rejectLocked("invalid")
-	}
-	if s.tenants[req.ID] != nil {
-		return s.rejectLocked("duplicate")
-	}
 	t := &Tenant{
 		ID:           req.ID,
 		GuaranteeBps: req.GuaranteeBps,
@@ -193,28 +187,7 @@ func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 func (s *Service) Evaluate(req placement.Request) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.GuaranteeBps <= 0 || req.VMs < 1 {
-		return Decision{Reason: "invalid"}
-	}
-	if s.tenants[req.ID] != nil {
-		return Decision{Reason: "duplicate"}
-	}
-	hosts := s.cfg.Policy.Place(req, s.fleet, s.ledger)
-	if len(hosts) != req.VMs {
-		return Decision{Reason: "placement"}
-	}
-	pairs := placement.ChainPairs(hosts)
-	links, amounts, err := s.ledger.Evaluate(req.GuaranteeBps, pairs)
-	if err != nil {
-		return Decision{Reason: "placement"}
-	}
-	for i, lid := range links {
-		budget := s.cfg.Oversubscription * s.g.Link(lid).Capacity
-		if s.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
-			return Decision{Reason: "headroom"}
-		}
-	}
-	return Decision{Accepted: true, Hosts: hosts}
+	return decision(s.adm.Evaluate(req, s.tenants[req.ID] != nil))
 }
 
 // Release withdraws a tenant: realized state is torn down and the desired
@@ -240,7 +213,7 @@ func (s *Service) Release(id int32, nowPS int64) bool {
 func (s *Service) Drain(h topo.NodeID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.fleet.SetUnschedulable(h, true) {
+	if !s.adm.Fleet.SetUnschedulable(h, true) {
 		return false
 	}
 	s.draining[h] = true
@@ -259,50 +232,26 @@ func (s *Service) Uncordon(h topo.NodeID) bool {
 	// Schedulability is recomputed (failed ∨ drain) next reconcile; clear
 	// the drain bit now so admissions between ticks can use the host.
 	if !s.failed[h] {
-		s.fleet.SetUnschedulable(h, false)
+		s.adm.Fleet.SetUnschedulable(h, false)
 	}
 	return true
 }
 
-// placeLocked attempts to realize t: policy placement, two-phase ledger
-// commit, fabric materialization with rollback. On success t becomes
-// Placed. mu must be held.
+// placeLocked attempts to realize t through the admission pipeline. The
+// id counts as held when a different desired record owns it; t itself
+// (a reconciler re-placement) does not. On success t becomes Placed. mu
+// must be held.
 func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
-	req := placement.Request{
-		ID:           t.ID,
-		GuaranteeBps: t.GuaranteeBps,
-		VMs:          t.VMs,
-		WeightClass:  t.WeightClass,
-		BacklogBytes: t.BacklogBytes,
+	other := s.tenants[t.ID]
+	d := s.adm.Admit(t.request(), other != nil && other != t, sim.Time(nowPS))
+	if d.Accepted {
+		t.Hosts = d.Hosts
+		t.Status = StatusPlaced
+		t.Retries = 0
+		t.NotBeforePS = 0
+		t.UpdatedPS = nowPS
 	}
-	hosts := s.cfg.Policy.Place(req, s.fleet, s.ledger)
-	if len(hosts) != t.VMs {
-		return Decision{Reason: "placement"}
-	}
-	pairs := placement.ChainPairs(hosts)
-	if err := s.ledger.Admit(t.ID, t.GuaranteeBps, pairs); err != nil {
-		switch {
-		case errors.Is(err, ErrHeadroom):
-			return Decision{Reason: "headroom"}
-		case errors.Is(err, ErrDuplicate):
-			return Decision{Reason: "duplicate"}
-		default:
-			return Decision{Reason: "invalid"}
-		}
-	}
-	if s.mat != nil {
-		if !s.mat.AddTenant(s.spec(t, pairs)) {
-			s.ledger.Release(t.ID)
-			return Decision{Reason: "materialize"}
-		}
-	}
-	s.fleet.Place(hosts)
-	t.Hosts = hosts
-	t.Status = StatusPlaced
-	t.Retries = 0
-	t.NotBeforePS = 0
-	t.UpdatedPS = nowPS
-	return Decision{Accepted: true, Hosts: hosts}
+	return decision(d)
 }
 
 // teardownLocked removes t's realized state (ledger, slots, fabric), if
@@ -311,27 +260,24 @@ func (s *Service) teardownLocked(t *Tenant) {
 	if t.Status != StatusPlaced {
 		return
 	}
-	if s.mat != nil {
-		s.mat.RemoveTenant(t.ID)
-	}
-	s.ledger.Release(t.ID)
-	s.fleet.Release(t.Hosts)
+	s.adm.Release(t.ID, t.Hosts)
 	t.Hosts = nil
 }
 
-// spec converts a tenant + chain into the churn surface's tenant spec.
-func (s *Service) spec(t *Tenant, pairs []placement.Pair) chaos.TenantSpec {
-	sp := chaos.TenantSpec{
-		VF:           t.ID,
+// request is the admission request that (re)creates t.
+func (t *Tenant) request() placement.Request {
+	return placement.Request{
+		ID:           t.ID,
 		GuaranteeBps: t.GuaranteeBps,
+		VMs:          t.VMs,
 		WeightClass:  t.WeightClass,
+		BacklogBytes: t.BacklogBytes,
 	}
-	for _, p := range pairs {
-		sp.Pairs = append(sp.Pairs, chaos.PairSpec{
-			Src: p.Src, Dst: p.Dst, BacklogBytes: t.BacklogBytes,
-		})
-	}
-	return sp
+}
+
+// decision is the wire form of a pipeline decision.
+func decision(d placement.Decision) Decision {
+	return Decision{Accepted: d.Accepted, Reason: d.Reason, Hosts: d.Hosts}
 }
 
 func (s *Service) rejectLocked(reason string) Decision {
@@ -397,9 +343,8 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Verify recomputes the sharded ledger from the admitted set (quiescent
-// callers only).
-func (s *Service) Verify() error { return s.ledger.Verify() }
+// Verify recomputes the ledger from the admitted set.
+func (s *Service) Verify() error { return s.adm.Ledger.Verify() }
 
 func (s *Service) sortedIDsLocked() []int32 {
 	ids := make([]int32, 0, len(s.tenants))
@@ -450,5 +395,5 @@ func (s *Service) flushLocked() {
 	}
 	reg.Gauge("placement.ctl.desired_tenants").Set(float64(len(s.tenants)))
 	reg.Gauge("placement.ctl.placed_tenants").Set(float64(placed))
-	reg.Gauge("placement.ctl.max_subscription").SetMax(s.ledger.MaxSubscription())
+	reg.Gauge("placement.ctl.max_subscription").SetMax(s.adm.Ledger.MaxSubscription())
 }

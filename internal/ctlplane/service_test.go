@@ -130,7 +130,7 @@ func TestServiceRecover(t *testing.T) {
 	s.Release(2, 100)
 	before := s.TenantList()
 	links := map[topo.LinkID]float64{}
-	for lid := range s.g.Links {
+	for lid := range s.Ledger().Graph().Links {
 		links[topo.LinkID(lid)] = s.Ledger().CommittedBps(topo.LinkID(lid))
 	}
 	usedBefore := append([]int(nil), s.Fleet().Used...)

@@ -3,7 +3,7 @@ package experiments
 // The reconciler experiment: desired-vs-realized convergence under the
 // always-on control plane. Standing tenants are admitted through
 // ctlplane.Service (which materializes them on the testbed fabric and
-// commits them to the sharded ledger), then a chaos node crash and an
+// commits them to its ledger), then a chaos node crash and an
 // operator drain each displace tenants mid-run; the watcher/reconciler
 // must tear down the broken placements and re-place them on healthy
 // hosts within its retry budget, with the ledger verifying clean and the
@@ -64,8 +64,8 @@ func Reconcile(o Options) *Report {
 		Telemetry:    o.fabricTelemetry(r),
 	})
 	svc.WatchRecorder(reg.Recorder())
-	// Checked-admit mode: realized Φ_l is audited against the sharded
-	// ledger's commitments, exactly as with the sequential ledger.
+	// Checked-admit mode: realized Φ_l is audited against the service
+	// ledger's commitments.
 	uf.Cfg.Ledger = svc.Ledger()
 	svc.StartReconciler(eng, 500*sim.Microsecond)
 

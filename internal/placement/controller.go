@@ -29,9 +29,8 @@ type Request struct {
 // Decision is the controller's verdict on one request.
 type Decision struct {
 	Accepted bool
-	// Reason explains a rejection: "placement" (no feasible hosts),
-	// "headroom" (a link would exceed the oversubscribed budget),
-	// "materialize" (the fabric refused the spec), "invalid".
+	// Reason explains a rejection: ReasonInvalid, ReasonDuplicate,
+	// ReasonPlacement, ReasonHeadroom or ReasonMaterialize.
 	Reason string
 	// Hosts are the placed VM locations (accepted only).
 	Hosts []topo.NodeID
@@ -71,17 +70,13 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Controller is the admission control plane: requests flow through a
-// FIFO decision queue, the policy proposes hosts, the ledger headroom
-// check accepts or rejects, and accepted tenants materialize through the
-// Materializer. It must run on the simulation engine's goroutine.
+// Controller is the simulated admission front end: requests flow
+// through a FIFO decision queue into the shared admission pipeline
+// (Admitter). It must run on the simulation engine's goroutine.
 type Controller struct {
-	eng    sim.Scheduler
-	g      *topo.Graph
-	cfg    Config
-	ledger *Ledger
-	fleet  *Fleet
-	mat    Materializer
+	eng sim.Scheduler
+	cfg Config
+	adm Admitter
 
 	queue []queued
 	busy  bool
@@ -93,7 +88,6 @@ type Controller struct {
 	// Counters (also mirrored to telemetry when attached).
 	submitted, admitted, rejected, released int64
 
-	rec    *telemetry.Recorder
 	hAdmit *telemetry.Histogram
 }
 
@@ -119,16 +113,18 @@ func NewController(eng sim.Scheduler, g *topo.Graph, mat Materializer, cfg Confi
 		cfg.Policy = FirstFit{}
 	}
 	c := &Controller{
-		eng:     eng,
-		g:       g,
-		cfg:     cfg,
-		ledger:  NewLedger(g, cfg.MaxPaths),
-		fleet:   NewFleet(g, cfg.SlotsPerHost),
-		mat:     mat,
+		eng: eng,
+		cfg: cfg,
+		adm: Admitter{
+			Ledger: NewLedger(g, cfg.MaxPaths, cfg.Oversubscription),
+			Fleet:  NewFleet(g, cfg.SlotsPerHost),
+			Policy: cfg.Policy,
+			Mat:    mat,
+		},
 		hostsOf: make(map[int32][]topo.NodeID),
 	}
 	if cfg.Telemetry != nil {
-		c.rec = cfg.Telemetry.Recorder()
+		c.adm.Rec = cfg.Telemetry.Recorder()
 		c.hAdmit = cfg.Telemetry.Histogram("placement.ctl.admit_latency_us")
 	}
 	return c
@@ -136,10 +132,10 @@ func NewController(eng sim.Scheduler, g *topo.Graph, mat Materializer, cfg Confi
 
 // Ledger exposes the controller's subscription account (read side for
 // the auditor and experiments).
-func (c *Controller) Ledger() *Ledger { return c.ledger }
+func (c *Controller) Ledger() *Ledger { return c.adm.Ledger }
 
 // Fleet exposes the slot-occupancy view.
-func (c *Controller) Fleet() *Fleet { return c.fleet }
+func (c *Controller) Fleet() *Fleet { return c.adm.Fleet }
 
 // Policy returns the active placement policy.
 func (c *Controller) Policy() Policy { return c.cfg.Policy }
@@ -150,7 +146,7 @@ func (c *Controller) Policy() Policy { return c.cfg.Policy }
 func (c *Controller) Submit(req Request, done func(Decision)) {
 	c.submitted++
 	c.queue = append(c.queue, queued{req: req, at: c.eng.Now(), done: done})
-	c.stage(req.ID, "queue", 1)
+	c.adm.stage(c.eng.Now(), req.ID, "queue", 1)
 	c.serve()
 }
 
@@ -175,85 +171,30 @@ func (c *Controller) serve() {
 	})
 }
 
-// decide runs one admission decision: place → headroom → commit →
-// materialize.
+// decide runs one admission decision through the shared pipeline; the
+// ledger is the controller's id registry.
 func (c *Controller) decide(req Request) Decision {
-	if req.GuaranteeBps <= 0 || req.VMs < 1 || c.ledger.Has(req.ID) {
-		return c.reject(req, "invalid")
+	d := c.adm.Admit(req, c.adm.Ledger.Has(req.ID), c.eng.Now())
+	if !d.Accepted {
+		c.rejected++
+		c.event(req, "reject")
+		c.flush()
+		return d
 	}
-	hosts := c.cfg.Policy.Place(req, c.fleet, c.ledger)
-	if len(hosts) != req.VMs {
-		return c.reject(req, "placement")
-	}
-	c.stage(req.ID, "place", 2)
-	pairs := ChainPairs(hosts)
-	links, amounts, err := c.ledger.Evaluate(req.GuaranteeBps, pairs)
-	if err != nil {
-		return c.reject(req, "placement")
-	}
-	for i, lid := range links {
-		budget := c.cfg.Oversubscription * c.g.Link(lid).Capacity
-		if c.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
-			return c.reject(req, "headroom")
-		}
-	}
-	if err := c.ledger.Commit(req.ID, req.GuaranteeBps, pairs); err != nil {
-		return c.reject(req, "invalid")
-	}
-	c.stage(req.ID, "commit", 3)
-	if c.mat != nil {
-		if !c.mat.AddTenant(c.spec(req, pairs)) {
-			c.ledger.Release(req.ID)
-			return c.reject(req, "materialize")
-		}
-		c.stage(req.ID, "materialize", 4)
-	}
-	c.fleet.Place(hosts)
-	c.hostsOf[req.ID] = hosts
+	c.hostsOf[req.ID] = d.Hosts
 	c.admitted++
 	c.event(req, "admit")
 	c.flush()
-	return Decision{Accepted: true, Hosts: hosts, Pairs: pairs}
+	return d
 }
 
-// spec converts an accepted request + chain into the churn surface's
-// tenant spec.
-func (c *Controller) spec(req Request, pairs []Pair) chaos.TenantSpec {
-	sp := chaos.TenantSpec{
-		VF:           req.ID,
-		GuaranteeBps: req.GuaranteeBps,
-		WeightClass:  req.WeightClass,
-	}
-	for _, p := range pairs {
-		sp.Pairs = append(sp.Pairs, chaos.PairSpec{
-			Src: p.Src, Dst: p.Dst, BacklogBytes: req.BacklogBytes,
-		})
-	}
-	return sp
-}
-
-func (c *Controller) reject(req Request, reason string) Decision {
-	c.rejected++
-	c.event(req, "reject")
-	c.flush()
-	return Decision{Reason: reason}
-}
-
-// Release tears an admitted tenant down: data-plane state first (finish
-// probes drain its registers), then the ledger commitment and host
-// slots. Returns false for an unknown tenant.
+// Release tears an admitted tenant down (see Admitter.Release). Returns
+// false for an unknown tenant.
 func (c *Controller) Release(id int32) bool {
-	if !c.ledger.Has(id) {
+	if !c.adm.Release(id, c.hostsOf[id]) {
 		return false
 	}
-	if c.mat != nil {
-		c.mat.RemoveTenant(id)
-	}
-	c.ledger.Release(id)
-	if hosts, ok := c.hostsOf[id]; ok {
-		c.fleet.Release(hosts)
-		delete(c.hostsOf, id)
-	}
+	delete(c.hostsOf, id)
 	c.released++
 	c.event(Request{ID: id}, "release")
 	c.flush()
@@ -263,41 +204,20 @@ func (c *Controller) Release(id int32) bool {
 // ---- chaos.Admission -------------------------------------------------------
 
 // AdmitSpec implements chaos.Admission: a scenario's explicit
-// TenantArrive spec (hosts already chosen) is checked against ledger
-// headroom and committed on accept. The injector materializes the spec
+// TenantArrive spec (hosts already chosen) runs only the pipeline's
+// ledger step, committing on accept. The injector materializes the spec
 // itself, so no Materializer call happens here. Slot occupancy is not
 // charged — scenario specs place VMs explicitly, outside the policy's
 // slot accounting.
 func (c *Controller) AdmitSpec(spec chaos.TenantSpec) bool {
-	if spec.GuaranteeBps <= 0 || c.ledger.Has(spec.VF) {
-		c.rejected++
-		c.event(Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps}, "reject")
-		c.flush()
-		return false
-	}
 	pairs := make([]Pair, 0, len(spec.Pairs))
 	for _, p := range spec.Pairs {
 		pairs = append(pairs, Pair{Src: p.Src, Dst: p.Dst})
 	}
 	req := Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps, VMs: len(spec.Pairs) + 1}
-	links, amounts, err := c.ledger.Evaluate(spec.GuaranteeBps, pairs)
-	if err != nil {
+	if c.adm.Ledger.Admit(spec.VF, spec.GuaranteeBps, pairs) != nil {
 		c.rejected++
 		c.event(req, "reject")
-		c.flush()
-		return false
-	}
-	for i, lid := range links {
-		budget := c.cfg.Oversubscription * c.g.Link(lid).Capacity
-		if c.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
-			c.rejected++
-			c.event(req, "reject")
-			c.flush()
-			return false
-		}
-	}
-	if c.ledger.Commit(spec.VF, spec.GuaranteeBps, pairs) != nil {
-		c.rejected++
 		c.flush()
 		return false
 	}
@@ -310,11 +230,11 @@ func (c *Controller) AdmitSpec(spec chaos.TenantSpec) bool {
 // ReleaseTenant implements chaos.Admission: the injector already tore the
 // tenant down (or never materialized it); only the commitment returns.
 func (c *Controller) ReleaseTenant(vf int32) bool {
-	if !c.ledger.Release(vf) {
+	if !c.adm.Ledger.Release(vf) {
 		return false
 	}
 	if hosts, ok := c.hostsOf[vf]; ok {
-		c.fleet.Release(hosts)
+		c.adm.Fleet.Release(hosts)
 		delete(c.hostsOf, vf)
 	}
 	c.released++
@@ -339,7 +259,7 @@ func (c *Controller) Stats() Stats {
 		Admitted:  c.admitted,
 		Rejected:  c.rejected,
 		Released:  c.released,
-		Active:    c.ledger.Tenants(),
+		Active:    c.adm.Ledger.Tenants(),
 		Pending:   len(c.queue),
 	}
 }
@@ -347,10 +267,10 @@ func (c *Controller) Stats() Stats {
 // event records an EvPlacement flight-recorder entry, joined to the
 // request's admission trace.
 func (c *Controller) event(req Request, note string) {
-	if c.rec == nil {
+	if c.adm.Rec == nil {
 		return
 	}
-	c.rec.Record(telemetry.Event{
+	c.adm.Rec.Record(telemetry.Event{
 		T:      int64(c.eng.Now()),
 		Kind:   telemetry.EvPlacement,
 		Entity: "placement.ctl",
@@ -360,23 +280,6 @@ func (c *Controller) event(req Request, note string) {
 		Note:   note,
 		Trace:  telemetry.SpanID(telemetry.TraceAdmission, int64(req.ID)),
 		Span:   5,
-	})
-}
-
-// stage traces one step of the admission pipeline
-// (queue→place→commit→materialize) under the request's admission trace.
-func (c *Controller) stage(id int32, note string, span uint64) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Record(telemetry.Event{
-		T:      int64(c.eng.Now()),
-		Kind:   telemetry.EvStage,
-		Entity: "placement.ctl",
-		A:      int64(id),
-		Note:   note,
-		Trace:  telemetry.SpanID(telemetry.TraceAdmission, int64(id)),
-		Span:   span,
 	})
 }
 
@@ -396,8 +299,8 @@ func (c *Controller) flush() {
 	set("placement.ctl.admitted", c.admitted)
 	set("placement.ctl.rejected", c.rejected)
 	set("placement.ctl.released", c.released)
-	reg.Gauge("placement.ctl.active_tenants").Set(float64(c.ledger.Tenants()))
-	reg.Gauge("placement.ctl.max_subscription").SetMax(c.ledger.MaxSubscription())
+	reg.Gauge("placement.ctl.active_tenants").Set(float64(c.adm.Ledger.Tenants()))
+	reg.Gauge("placement.ctl.max_subscription").SetMax(c.adm.Ledger.MaxSubscription())
 }
 
 var _ chaos.Admission = (*Controller)(nil)

@@ -172,7 +172,7 @@ func TestControllerInvalidRequests(t *testing.T) {
 	if !rs[2].Accepted {
 		t.Fatalf("valid request rejected: %+v", rs[2])
 	}
-	if rs[3].Accepted || rs[3].Reason != "invalid" {
+	if rs[3].Accepted || rs[3].Reason != "duplicate" {
 		t.Fatalf("duplicate id: %+v", rs[3])
 	}
 }

@@ -14,6 +14,7 @@
 package placement
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -26,20 +27,39 @@ type Pair struct {
 	Src, Dst topo.NodeID
 }
 
+// Sentinel errors Ledger.Admit and Ledger.Check wrap, so the admission
+// pipeline maps a ledger refusal to a reject reason without string
+// matching.
+var (
+	// ErrHeadroom: a link would exceed its oversubscribed admission budget.
+	ErrHeadroom = errors.New("headroom")
+	// ErrDuplicate: the tenant id already holds a commitment.
+	ErrDuplicate = errors.New("duplicate tenant")
+	// ErrInvalid: non-positive guarantee or an unroutable pair.
+	ErrInvalid = errors.New("invalid request")
+)
+
 // Ledger is the per-link Σ-guarantee subscription account. For every
 // admitted tenant it commits the tenant's hose guarantee G on every link
 // of each VM-pair's ECMP path union — a conservative upper bound on the
 // Φ_l·BU the pair can ever register, since μFAB-E samples its candidate
 // paths from exactly that equal-cost set and registers at most G per pair
-// per link. Commit and Release are incremental: O(affected links), never
-// a full recompute. Verify recomputes from scratch for testing.
+// per link. It also owns the admission budget: Admit commits only while
+// every touched link stays within oversubscription·capacity. Admit and
+// Release are incremental: O(affected links), never a full recompute.
+// Verify recomputes from scratch for testing.
 //
 // A Ledger is single-goroutine, like the simulation engine it serves.
+// Both front ends keep to that: the simulated Controller runs on the
+// engine goroutine, and the daemon's Service serializes every call on
+// its engine goroutine, so the account needs no locking.
 type Ledger struct {
 	g *topo.Graph
 	// maxPaths bounds the per-pair ECMP enumeration (0 = the full
 	// equal-cost set, a superset of what μFAB-E samples).
 	maxPaths int
+	// oversub scales every link's admission budget.
+	oversub float64
 
 	committed []float64 // bps, indexed by LinkID
 	tenants   map[int32]*ledgerEntry
@@ -54,7 +74,7 @@ type Ledger struct {
 
 // ledgerEntry stores a tenant's inputs (for Verify's recompute) and the
 // exact per-link amounts committed (so Release subtracts precisely what
-// Commit added, leaving zero residue).
+// Admit added, leaving zero residue).
 type ledgerEntry struct {
 	guaranteeBps float64
 	pairs        []Pair
@@ -63,12 +83,18 @@ type ledgerEntry struct {
 }
 
 // NewLedger creates a ledger over the graph. maxPaths bounds the ECMP
-// enumeration per pair (0 = all equal-cost paths).
-func NewLedger(g *topo.Graph, maxPaths int) *Ledger {
+// enumeration per pair (0 = all equal-cost paths); oversub scales every
+// link's admission budget (0 = 1.0, the paper's predictability
+// precondition).
+func NewLedger(g *topo.Graph, maxPaths int, oversub float64) *Ledger {
+	if oversub == 0 {
+		oversub = 1.0
+	}
 	n := len(g.Links)
 	return &Ledger{
 		g:         g,
 		maxPaths:  maxPaths,
+		oversub:   oversub,
 		committed: make([]float64, n),
 		tenants:   make(map[int32]*ledgerEntry),
 		stamp:     make([]int64, n),
@@ -87,7 +113,10 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []flo
 	for _, pr := range pairs {
 		paths := l.g.Paths(pr.Src, pr.Dst, l.maxPaths)
 		if len(paths) == 0 {
-			return nil, nil, fmt.Errorf("placement: no path %d→%d", pr.Src, pr.Dst)
+			for _, lid := range l.touched {
+				l.scratch[lid] = 0
+			}
+			return nil, nil, fmt.Errorf("placement: no path %d→%d: %w", pr.Src, pr.Dst, ErrInvalid)
 		}
 		l.seq++
 		for _, p := range paths {
@@ -121,19 +150,25 @@ func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []
 	return l.delta(guaranteeBps, pairs)
 }
 
-// Commit admits a tenant: its guarantee is added to every link of each
-// pair's ECMP union. Errors (duplicate id, non-positive guarantee,
-// unroutable pair) leave the ledger untouched.
-func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
+// Check is Admit's dry run: it reports whether the placement would be
+// admitted right now, without committing anything. The error wraps
+// ErrInvalid or ErrHeadroom.
+func (l *Ledger) Check(guaranteeBps float64, pairs []Pair) error {
+	_, _, err := l.fit(guaranteeBps, pairs)
+	return err
+}
+
+// Admit commits a tenant in one pass: the delta is computed once, every
+// touched link is checked against oversubscription·capacity, and only
+// then is the guarantee added. On any error — wrapping ErrDuplicate,
+// ErrInvalid or ErrHeadroom — the ledger is untouched.
+func (l *Ledger) Admit(id int32, guaranteeBps float64, pairs []Pair) error {
 	if l.tenants[id] != nil {
-		return fmt.Errorf("placement: tenant %d already committed", id)
+		return fmt.Errorf("placement: tenant %d: %w", id, ErrDuplicate)
 	}
-	if guaranteeBps <= 0 {
-		return fmt.Errorf("placement: tenant %d non-positive guarantee %v", id, guaranteeBps)
-	}
-	links, amounts, err := l.delta(guaranteeBps, pairs)
+	links, amounts, err := l.fit(guaranteeBps, pairs)
 	if err != nil {
-		return err
+		return fmt.Errorf("placement: tenant %d: %w", id, err)
 	}
 	for i, lid := range links {
 		l.committed[lid] += amounts[i]
@@ -145,8 +180,26 @@ func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
 	return nil
 }
 
+// fit computes the delta of a prospective tenant and checks it against
+// every touched link's budget.
+func (l *Ledger) fit(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
+	if guaranteeBps <= 0 {
+		return nil, nil, fmt.Errorf("non-positive guarantee %v: %w", guaranteeBps, ErrInvalid)
+	}
+	links, amounts, err := l.delta(guaranteeBps, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, lid := range links {
+		if l.committed[lid]+amounts[i] > l.oversub*l.g.Links[lid].Capacity+1e-9 {
+			return nil, nil, fmt.Errorf("link %d over budget: %w", lid, ErrHeadroom)
+		}
+	}
+	return links, amounts, nil
+}
+
 // Release withdraws a tenant's commitment, subtracting exactly the
-// amounts Commit added. Returns false for an unknown id.
+// amounts Admit added. Returns false for an unknown id.
 func (l *Ledger) Release(id int32) bool {
 	e := l.tenants[id]
 	if e == nil {

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,9 +17,9 @@ func testbedGraph() (*topo.Graph, []topo.NodeID) {
 
 func TestLedgerCommitRelease(t *testing.T) {
 	g, servers := testbedGraph()
-	l := NewLedger(g, 0)
+	l := NewLedger(g, 0, 0)
 	pairs := []Pair{{Src: servers[0], Dst: servers[4]}}
-	if err := l.Commit(1, 2e9, pairs); err != nil {
+	if err := l.Admit(1, 2e9, pairs); err != nil {
 		t.Fatal(err)
 	}
 	// The host uplink S1→ToR carries the pair on every ECMP path: it must
@@ -47,26 +49,62 @@ func TestLedgerCommitRelease(t *testing.T) {
 
 func TestLedgerRejects(t *testing.T) {
 	g, servers := testbedGraph()
-	l := NewLedger(g, 0)
+	l := NewLedger(g, 0, 0)
 	pairs := []Pair{{Src: servers[0], Dst: servers[1]}}
-	if err := l.Commit(1, 0, pairs); err == nil {
-		t.Fatal("zero guarantee accepted")
+	if err := l.Admit(1, 0, pairs); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("zero guarantee: %v, want ErrInvalid", err)
 	}
-	if err := l.Commit(1, 1e9, pairs); err != nil {
+	if err := l.Admit(1, 1e9, pairs); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(1, 1e9, pairs); err == nil {
-		t.Fatal("duplicate id accepted")
+	if err := l.Admit(1, 1e9, pairs); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("duplicate id: %v, want ErrDuplicate", err)
 	}
 	// Unroutable pair: same node (Paths returns nil).
-	if err := l.Commit(2, 1e9, []Pair{{Src: servers[0], Dst: servers[0]}}); err == nil {
-		t.Fatal("self-loop pair accepted")
+	if err := l.Admit(2, 1e9, []Pair{{Src: servers[0], Dst: servers[0]}}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("self-loop pair: %v, want ErrInvalid", err)
 	}
 	if l.Has(2) {
 		t.Fatal("failed commit left tenant registered")
 	}
+	// The 10G host uplink now holds 1G: 9G more fits exactly at budget,
+	// 1 bps beyond it does not — and the dry run agrees with Admit.
+	if err := l.Check(9e9+1, pairs); !errors.Is(err, ErrHeadroom) {
+		t.Fatalf("check 1 bps over budget: %v, want ErrHeadroom", err)
+	}
+	if err := l.Admit(3, 9e9+1, pairs); !errors.Is(err, ErrHeadroom) {
+		t.Fatalf("1 bps over budget: %v, want ErrHeadroom", err)
+	}
+	if l.Has(3) {
+		t.Fatal("headroom reject left tenant registered")
+	}
+	if err := l.Check(9e9, pairs); err != nil {
+		t.Fatalf("check exactly at budget: %v", err)
+	}
+	if err := l.Admit(3, 9e9, pairs); err != nil {
+		t.Fatalf("exactly at budget: %v", err)
+	}
+	up := g.Node(servers[0]).Out[0]
+	if got := l.CommittedBps(up); got != g.Link(up).Capacity {
+		t.Fatalf("uplink committed %v, want exactly capacity %v", got, g.Link(up).Capacity)
+	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
+	}
+	// A released id is free for reuse.
+	if !l.Release(1) || l.Release(1) {
+		t.Fatal("release/double release")
+	}
+	if err := l.Admit(1, 1e9, pairs); err != nil {
+		t.Fatalf("id not reusable after release: %v", err)
+	}
+	// Oversubscription scales the budget: at 1.5 the same link takes 15G.
+	over := NewLedger(g, 0, 1.5)
+	if err := over.Admit(1, 15e9, pairs); err != nil {
+		t.Fatalf("oversub 1.5, 15G: %v", err)
+	}
+	if err := over.Admit(2, 1, pairs); !errors.Is(err, ErrHeadroom) {
+		t.Fatalf("oversub 1.5, 1 bps over: %v, want ErrHeadroom", err)
 	}
 }
 
@@ -74,13 +112,13 @@ func TestLedgerRejects(t *testing.T) {
 // candidate paths of one pair sharing a link contribute once.
 func TestLedgerPairDedup(t *testing.T) {
 	g, servers := testbedGraph()
-	l := NewLedger(g, 0)
+	l := NewLedger(g, 0, 0)
 	// Two pairs, both sourced at S1: the S1 uplink carries both chains.
 	pairs := []Pair{
 		{Src: servers[0], Dst: servers[4]},
 		{Src: servers[0], Dst: servers[5]},
 	}
-	if err := l.Commit(1, 1e9, pairs); err != nil {
+	if err := l.Admit(1, 1e9, pairs); err != nil {
 		t.Fatal(err)
 	}
 	up := g.Node(servers[0]).Out[0]
@@ -98,13 +136,13 @@ func TestLedgerPairDedup(t *testing.T) {
 
 func TestLedgerMaxPathsBound(t *testing.T) {
 	g, servers := testbedGraph()
-	all := NewLedger(g, 0)
-	one := NewLedger(g, 1)
+	all := NewLedger(g, 0, 0)
+	one := NewLedger(g, 1, 0)
 	pairs := []Pair{{Src: servers[0], Dst: servers[4]}}
-	if err := all.Commit(1, 1e9, pairs); err != nil {
+	if err := all.Admit(1, 1e9, pairs); err != nil {
 		t.Fatal(err)
 	}
-	if err := one.Commit(1, 1e9, pairs); err != nil {
+	if err := one.Admit(1, 1e9, pairs); err != nil {
 		t.Fatal(err)
 	}
 	nAll, nOne := 0, 0
@@ -133,7 +171,9 @@ func TestLedgerPropertyRandomChurn(t *testing.T) {
 	g, hosts := cl.Graph, cl.Hosts
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLedger(g, 0)
+		// No budget: this property is about the incremental account,
+		// so every admission must commit.
+		l := NewLedger(g, 0, math.Inf(1))
 		live := []int32{}
 		next := int32(1)
 		for op := 0; op < 400; op++ {
@@ -150,7 +190,7 @@ func TestLedgerPropertyRandomChurn(t *testing.T) {
 					pairs = append(pairs, Pair{Src: s, Dst: d})
 				}
 				gbps := float64(1+rng.Intn(40)) * 1e8
-				if err := l.Commit(next, gbps, pairs); err != nil {
+				if err := l.Admit(next, gbps, pairs); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 				live = append(live, next)

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 
 	"ufab/internal/sim"
@@ -12,7 +13,9 @@ func closFleet() (*topo.Graph, *Fleet, *Ledger) {
 		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4, HostsPerToR: 4,
 		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
 	})
-	return cl.Graph, NewFleet(cl.Graph, 4), NewLedger(cl.Graph, 0)
+	// No budget: the policy comparison measures where each policy puts
+	// load, not which tenants a headroom check would have turned away.
+	return cl.Graph, NewFleet(cl.Graph, 4), NewLedger(cl.Graph, 0, math.Inf(1))
 }
 
 func TestFleetGrouping(t *testing.T) {
@@ -97,7 +100,7 @@ func TestSubscriptionAwareBeatsFirstFit(t *testing.T) {
 			if hosts == nil {
 				continue
 			}
-			if err := ledger.Commit(req.ID, req.GuaranteeBps, ChainPairs(hosts)); err != nil {
+			if err := ledger.Admit(req.ID, req.GuaranteeBps, ChainPairs(hosts)); err != nil {
 				continue
 			}
 			fleet.Place(hosts)
